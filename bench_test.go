@@ -575,12 +575,14 @@ func BenchmarkFaultChurn(b *testing.B) {
 // tiers: a 1000-machine heterogeneous fleet offered ~100k sessions
 // over 20 epochs, every machine on the calibrated surrogate tier
 // (SurrogateTail with a zero sampled cohort), driven through the
-// global event kernel with the migration controller on. What took the
+// engine phase loop with the migration controller on. What took the
 // full per-frame simulator hours runs in seconds here — the pinned
 // guard keeps it that way — while the fidelity fixture in
 // internal/core bounds how far the cheap tier may drift. Calibration
 // is warmed outside the timed region: it is a once-per-process cost
-// shared by fingerprint, not part of the sweep.
+// shared by fingerprint, not part of the sweep. The name predates the
+// phase loop and stays: scripts/benchguard.py and
+// BENCH_single_trial.json pin it.
 func BenchmarkGlobalKernelSweep(b *testing.B) {
 	cfg := benchCfg()
 	cfg.WarmupSeconds, cfg.Seconds = 1, 5
@@ -603,7 +605,7 @@ func BenchmarkGlobalKernelSweep(b *testing.B) {
 			b.Fatalf("sweep produced no execution: active %.1f, %.1f W", r.MeanActive, r.MeanPowerWatts)
 		}
 		b.ReportMetric(float64(r.Arrivals), "sessions/op")
-		if show := printHeader("Kernel", "global event kernel: 100k-session surrogate-tier sweep"); show {
+		if show := printHeader("Kernel", "fleet phase loop: 100k-session surrogate-tier sweep"); show {
 			fmt.Printf("1000 machines × 20 epochs: %d sessions offered, %d rejected, mean active %.0f, %.1f%% available, %.0f kW mean\n",
 				r.Arrivals, r.Rejected, r.MeanActive, 100*r.Availability, r.MeanPowerWatts/1000)
 		}

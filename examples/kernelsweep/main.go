@@ -3,7 +3,7 @@
 //
 // The churn and faults demos simulate every session frame by frame —
 // honest, but linear in sessions, which caps sweeps at thousands. This
-// demo drives the same churn lifecycle through the global event kernel
+// demo drives the same churn lifecycle through the engine phase loop
 // with fidelity tiers: machines [0, fidelity) run the full per-frame
 // simulator, the rest of the fleet runs calibrated per-profile response
 // curves (RTT, FPS and utilization as a function of machine load, with

@@ -129,17 +129,16 @@ type ChurnResult struct {
 	RepsMerged int
 }
 
-// executeFleetChurn lowers a churn-shaped trial onto the global event
-// kernel: the churnPortal implements the fleet lifecycle (depart,
-// fault, retry, arrive, gauge, collect, react) and the fidelity
-// dispatch, and engine.RunChurn drives it through the horizon in the
-// exact order the historical nested epoch loop ran — so full-fidelity
-// runs are byte-identical to the pre-kernel implementation, while
-// shapes with SurrogateTail execute their tail machines on calibrated
-// predictors instead of per-frame simulation. The kernel runs
-// sequentially inside the one execution unit — the runner already
-// shards trials across workers — so churn sweeps stay byte-identical
-// at any parallelism level.
+// executeFleetChurn lowers a churn-shaped trial onto the fleet phase
+// loop: the churnPortal implements the fleet lifecycle (depart, fault,
+// retry, arrive, gauge, collect, react) and the fidelity dispatch, and
+// engine.RunChurn walks it through the horizon in the exact order the
+// historical nested epoch loop ran — so full-fidelity runs are
+// byte-identical to it, while shapes with SurrogateTail execute their
+// tail machines on calibrated predictors instead of per-frame
+// simulation. The loop runs sequentially inside the one execution
+// unit — the runner already shards trials across workers — so churn
+// sweeps stay byte-identical at any parallelism level.
 func executeFleetChurn(t exp.Trial, u exp.Unit) *ChurnResult {
 	sh := *t.Fleet
 	// Like the one-shot stream, the arrival schedule must be derived
@@ -227,10 +226,11 @@ func executeFleetChurn(t exp.Trial, u exp.Unit) *ChurnResult {
 	// streamed run never materializes the schedule to compute it.
 	sink, streaming := resolveChurnSink(t.Sink, sh.RollupOnly, u.Rep, u.Seed, out)
 
-	// Assemble the portal and drive it on the kernel. The fidelity
-	// split normalizes here: without SurrogateTail every machine runs
-	// full fidelity; with it, machines [0, sampled) stay full and the
-	// tail runs the calibrated surrogate (sampled clamps to the fleet).
+	// Assemble the portal and drive it through the phase loop. The
+	// fidelity split normalizes here: without SurrogateTail every machine
+	// runs full fidelity; with it, machines [0, sampled) stay full and
+	// the tail runs the calibrated surrogate (sampled clamps to the
+	// fleet).
 	portal := &churnPortal{
 		t: t, sh: sh, u: u, streamBase: streamBase,
 		c: c, f: f, src: src, timeline: timeline,

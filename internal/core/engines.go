@@ -11,15 +11,15 @@ import (
 	"pictor/internal/stats"
 )
 
-// churnPortal lowers one churn-shaped trial onto the global event
-// kernel: it implements engine.FleetPortal (the fleet lifecycle —
-// departures, faults, failover, arrivals, gauges, measurement
-// collection and the QoS controllers) and engine.EnginePicker (the
-// fidelity dispatch — full per-frame simulation for the sampled
-// cohort, the calibrated surrogate for the tail, nil for crashed
-// machines). The kernel dispatches its methods in the exact order the
-// historical nested loop ran, so a full-fidelity run through the
-// portal is byte-identical to the pre-kernel implementation.
+// churnPortal lowers one churn-shaped trial onto the fleet phase loop:
+// it implements engine.FleetPortal (the fleet lifecycle — departures,
+// faults, failover, arrivals, gauges, measurement collection and the
+// QoS controllers) and engine.EnginePicker (the fidelity dispatch —
+// full per-frame simulation for the sampled cohort, the calibrated
+// surrogate for the tail, nil for crashed machines). engine.RunChurn
+// calls its methods in the exact order the historical nested loop
+// ran, so a full-fidelity run through the portal is byte-identical to
+// that implementation.
 type churnPortal struct {
 	t          exp.Trial
 	sh         exp.FleetShape
@@ -54,7 +54,7 @@ type churnPortal struct {
 	rollupRTTs []stats.Summary
 }
 
-// Machines and Epochs size the kernel's event schedule.
+// Machines and Epochs size the phase loop.
 func (p *churnPortal) Machines() int { return len(p.f.Machines) }
 func (p *churnPortal) Epochs() int   { return p.sh.Epochs }
 
@@ -151,7 +151,7 @@ func (p *churnPortal) EngineFor(_, mi int) engine.SessionEngine {
 }
 
 // Collect folds one machine's epoch measurements into the epoch
-// scratch. The kernel delivers machines in index order, so the pooled
+// scratch. The loop delivers machines in index order, so the pooled
 // aggregates are byte-stable.
 func (p *churnPortal) Collect(_, mi int, me engine.MachineEpoch) {
 	p.er.PowerWatts += me.PowerWatts

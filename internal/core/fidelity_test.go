@@ -58,8 +58,8 @@ func renderFidelity(r ChurnResult) string {
 	return sb.String()
 }
 
-// TestFidelityFullCohortMatchesBaseline is the kernel-refactor property
-// test: lowering churn onto the global event kernel with every fidelity
+// TestFidelityFullCohortMatchesBaseline is the fidelity-tier property
+// test: lowering churn onto the engine phase loop with every fidelity
 // knob at its expensive setting must reproduce the plain path
 // byte-for-byte. SurrogateTail with the full cohort sampled changes the
 // trial key (and therefore the key-derived unit seed) but no execution

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -85,6 +86,9 @@ func TestSpecNormalizeRejects(t *testing.T) {
 	normErr(t, ExperimentSpec{Kind: "fleet", Requests: -1}, "requests")
 	normErr(t, ExperimentSpec{Kind: "churn", Retries: -1}, "retries")
 	normErr(t, ExperimentSpec{Kind: "grid", Seconds: -1}, "seconds")
+	// flag.Float64 parses "Inf", so the CLI boundary must reject it
+	// before the arrival sampler sees it.
+	normErr(t, ExperimentSpec{Kind: "churn", Rate: math.Inf(1)}, "arrival rate must be finite")
 }
 
 // TestSpecScheduleKnobs pins the traffic-schedule vocabulary: the knobs

@@ -179,7 +179,7 @@ type surrogateEngine struct {
 	// batch caches one curve evaluation per profile within a single
 	// AdvanceEpoch call: the machine's load is fixed for the epoch, so
 	// every resident of a profile shares the same interpolated point
-	// and only the per-session jitter differs. The kernel executes one
+	// and only the per-session jitter differs. The loop executes one
 	// trial's machines sequentially, so the scratch map never races.
 	batch map[string]surrogateEval
 }

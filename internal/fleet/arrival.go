@@ -70,8 +70,8 @@ func ValidateSchedule(schedule string, rate, peak float64, period int) error {
 	case "", ScheduleConstant:
 		return nil
 	case ScheduleDiurnal, ScheduleFlash:
-		if peak < rate {
-			return fmt.Errorf("fleet: %s schedule needs a peak rate >= the base rate %g sessions/epoch, got %g", schedule, rate, peak)
+		if !finite(peak) || peak < rate {
+			return fmt.Errorf("fleet: %s schedule needs a finite peak rate >= the base rate %g sessions/epoch, got %g", schedule, rate, peak)
 		}
 		if period < 1 {
 			return fmt.Errorf("fleet: %s schedule needs a period >= 1 epoch, got %d", schedule, period)
@@ -176,7 +176,7 @@ func NewChurnSource(cfg ArrivalConfig) (*ChurnSource, error) {
 }
 
 // Next returns the sessions arriving in the given epoch. Epochs must
-// be consumed strictly in order from 0 (the kernel's dispatch order
+// be consumed strictly in order from 0 (the engine phase loop
 // guarantees this); anything else panics, because serving it would
 // silently change the schedule. The returned slice is reused by the
 // following call.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pictor/internal/app"
@@ -52,14 +53,19 @@ func ValidateChurnParams(rate, meanEpochs float64, epochs int) error {
 	if epochs < 1 {
 		return fmt.Errorf("fleet: churn needs at least 1 epoch, got %d", epochs)
 	}
-	if rate <= 0 {
-		return fmt.Errorf("fleet: churn arrival rate must be > 0 sessions/epoch, got %g", rate)
+	if !finite(rate) || rate <= 0 {
+		return fmt.Errorf("fleet: churn arrival rate must be finite and > 0 sessions/epoch, got %g", rate)
 	}
-	if meanEpochs <= 0 {
-		return fmt.Errorf("fleet: churn mean session length must be > 0 epochs, got %g", meanEpochs)
+	if !finite(meanEpochs) || meanEpochs <= 0 {
+		return fmt.Errorf("fleet: churn mean session length must be finite and > 0 epochs, got %g", meanEpochs)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf. The validators
+// reject non-finite knobs up front: an infinite or NaN rate never lets
+// the Poisson sampler terminate.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // ChurnStream generates the deterministic arrival schedule over the
 // paper's six-benchmark suite (the historical default). See

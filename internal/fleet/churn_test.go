@@ -62,8 +62,17 @@ func TestChurnStreamRejectsBadParams(t *testing.T) {
 		{"zero rate", 0, 1, 4},
 		{"negative rate", -1, 1, 4},
 		{"zero duration", 1, 0, 4},
+		{"NaN rate", math.NaN(), 1, 4},
+		{"infinite rate", math.Inf(1), 1, 4},
+		{"NaN duration", 1, math.NaN(), 4},
+		{"infinite duration", 1, math.Inf(1), 4},
 	}
 	for _, c := range cases {
+		// Validate before streaming: an unvalidated non-finite rate
+		// never terminates the Poisson draw.
+		if err := ValidateChurnParams(c.rate, c.mean, c.epochs); err == nil {
+			t.Fatalf("%s: ValidateChurnParams accepted it", c.name)
+		}
 		if _, err := ChurnStream(MixSuite, c.rate, c.mean, c.epochs, 1); err == nil {
 			t.Fatalf("%s: expected an error", c.name)
 		}

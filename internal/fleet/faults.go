@@ -39,8 +39,11 @@ const ColdStartEpochs = 1
 // ValidateFaultParams checks the fault-injection vocabulary with
 // actionable messages, shared by FaultStream and the shape validators.
 func ValidateFaultParams(mtbfEpochs, mttrEpochs float64) error {
-	if mtbfEpochs < 0 {
-		return fmt.Errorf("fleet: MTBF must be >= 0 epochs (0 disables faults), got %g", mtbfEpochs)
+	if !finite(mtbfEpochs) || mtbfEpochs < 0 {
+		return fmt.Errorf("fleet: MTBF must be finite and >= 0 epochs (0 disables faults), got %g", mtbfEpochs)
+	}
+	if !finite(mttrEpochs) {
+		return fmt.Errorf("fleet: MTTR must be finite, got %g", mttrEpochs)
 	}
 	if mtbfEpochs > 0 && mttrEpochs <= 0 {
 		return fmt.Errorf("fleet: fault injection (MTBF %g) needs MTTR > 0 epochs, got %g", mtbfEpochs, mttrEpochs)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"testing"
 
 	"pictor/internal/app"
@@ -82,6 +83,17 @@ func TestFaultStreamRejectsBadParams(t *testing.T) {
 	}
 	if err := ValidateFaultParams(0, 0); err != nil {
 		t.Fatalf("MTBF 0 (faults off) must validate: %v", err)
+	}
+	for name, p := range map[string][2]float64{
+		"NaN mtbf":             {math.NaN(), 1},
+		"infinite mtbf":        {math.Inf(1), 1},
+		"NaN mttr":             {3, math.NaN()},
+		"infinite mttr":        {3, math.Inf(1)},
+		"faults off, NaN mttr": {0, math.NaN()},
+	} {
+		if err := ValidateFaultParams(p[0], p[1]); err == nil {
+			t.Fatalf("%s: ValidateFaultParams accepted MTBF %g, MTTR %g", name, p[0], p[1])
+		}
 	}
 }
 

@@ -124,8 +124,8 @@ type Fleet struct {
 	// arrival rates the feasibility list is the placement path's only
 	// allocation, and it is discarded the moment the policy picks —
 	// reusing one buffer keeps a million-arrival sweep off the garbage
-	// collector. Placement is sequential per fleet (the kernel runs each
-	// trial single-threaded), so one buffer is safe.
+	// collector. Placement is sequential per fleet (the phase loop runs
+	// each trial single-threaded), so one buffer is safe.
 	scratch []*Machine
 }
 

@@ -97,6 +97,3 @@ func (g *RNG) Jitter(d Duration, sigma float64) Duration {
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -117,9 +117,6 @@ func TestCounterEmpty(t *testing.T) {
 func TestMeanGeoMean(t *testing.T) {
 	approx(t, Mean([]float64{1, 2, 3}), 2, 1e-12, "mean")
 	approx(t, Mean(nil), 0, 0, "mean empty")
-	approx(t, GeoMean([]float64{1, 100}), 10, 1e-9, "geomean")
-	approx(t, GeoMean([]float64{2, 0}), 0, 0, "geomean with zero")
-	approx(t, GeoMean(nil), 0, 0, "geomean empty")
 }
 
 // Property: percentile is monotone in p and bounded by min/max.

@@ -27,7 +27,7 @@ go test -run '^$' -bench 'BenchmarkSuiteGridSequential' \
     -benchtime "$GRID_BENCHTIME" . | tee -a "$TMP"
 
 # Fleet-scale sweeps pinned by benchguard: the per-epoch fault
-# bookkeeping loop and the kernel/streaming scale contracts (one
+# bookkeeping loop and the phase-loop/streaming scale contracts (one
 # iteration each — they assert their own scale internally).
 go test -run '^$' -bench 'BenchmarkFaultChurnBookkeeping$' \
     -benchmem ./internal/fleet/ | tee -a "$TMP"

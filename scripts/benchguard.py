@@ -12,7 +12,7 @@ pinned benchmark's ns/op regressed by more than the tolerance
 Only the pinned set below is enforced: these are the per-frame hot
 leaves whose cost the evaluation's wall-clock floor is built on (plus
 the fault-churn bookkeeping loop, the per-epoch overhead every fault
-trial pays, and the global-kernel and diurnal-million sweeps, the scale
+trial pays, and the phase-loop and diurnal-million sweeps, the scale
 contracts of the fidelity tiers and the streaming arrival API: ~100k
 sessions over 1000 machines and ~1M sessions over 10k machines must
 stay in whole-seconds territory), and they are stable enough (no allocation
