@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pictor/internal/app"
 )
@@ -138,6 +137,25 @@ type Churn struct {
 	// lost — so a streaming source can reuse the allocation. Nil keeps
 	// the historical leave-it-to-the-GC behaviour.
 	Pool SessionPool
+	// syncedEpoch is 1 + the epoch whose first RetryDue/Offer last
+	// re-read machine states into the capacity index (0: none yet).
+	syncedEpoch int
+	// victims and victimDemand are MigrateOff's reused scratch: the
+	// source machine's slots in try order and each slot's demand.
+	victims      []int
+	victimDemand []float64
+}
+
+// syncEpoch re-reads machine states into the capacity index on the
+// first admission of a new epoch. Fault injection writes Machine.State
+// in the epoch's Fault phase, before Retry and Arrive, so every later
+// query of the epoch — the React-phase controllers included — sees
+// that epoch's states.
+func (c *Churn) syncEpoch(epoch int) {
+	if c.syncedEpoch != epoch+1 {
+		c.Fleet.index.sync(c.Fleet.Machines)
+		c.syncedEpoch = epoch + 1
+	}
 }
 
 // recycle hands a terminally-finished session back to the pool. Every
@@ -159,8 +177,10 @@ func NewChurn(f *Fleet, p Placement) *Churn {
 // Arrive offers a session to the policy. A placed session joins its
 // machine's resident list; a rejected one keeps Machine == -1 and is
 // never retried (the tenant went elsewhere). Offer is the failover-
-// aware variant that enqueues rejections for retry.
+// aware variant that enqueues rejections for retry. Arrive carries no
+// epoch, so it re-reads machine states on every call.
 func (c *Churn) Arrive(s *Session) bool {
+	c.Fleet.index.sync(c.Fleet.Machines)
 	if c.admit(s) {
 		return true
 	}
@@ -174,7 +194,12 @@ func (c *Churn) Arrive(s *Session) bool {
 // and records the placement. It is the single admission path shared by
 // Arrive, Offer and RetryDue, so every outcome reverses identically.
 func (c *Churn) admit(s *Session) bool {
-	mi := c.Fleet.placeOne(s.Served(), c.Policy)
+	req := &s.Profile
+	if s.Tier > 0 {
+		served := s.Served()
+		req = &served
+	}
+	mi := c.Fleet.placeOne(req, c.Policy)
 	if mi < 0 {
 		return false
 	}
@@ -232,17 +257,30 @@ func (c *Churn) releaseSlot(mi, i int) {
 // measuring no better than the source), nothing moves — migration must
 // never turn into an eviction or a swap of one hot machine for another.
 func (c *Churn) MigrateOff(mi int, rttMs []float64) bool {
-	order := make([]int, len(c.sessions[mi]))
-	for i := range order {
-		order[i] = i
+	src := c.Fleet.Machines[mi]
+	// Slot demands are computed once. Placed[i] is exactly resident i's
+	// served profile (place/replace keep them aligned), so this is its
+	// PredictedCPUDemand(Served()).
+	c.victims, c.victimDemand = c.victims[:0], c.victimDemand[:0]
+	for i := range src.Placed {
+		c.victims = append(c.victims, i)
+		c.victimDemand = append(c.victimDemand, demandOf(&src.Placed[i]))
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return PredictedCPUDemand(c.sessions[mi][order[a]].Served()) >
-			PredictedCPUDemand(c.sessions[mi][order[b]].Served())
-	})
+	// Stable insertion sort, heaviest first (ties keep slot order):
+	// residents per machine are few, and it allocates nothing.
+	order, dem := c.victims, c.victimDemand
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && dem[order[j]] > dem[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
 	for _, victim := range order {
-		s := c.sessions[mi][victim]
-		d := PredictedCPUDemand(s.Served())
+		d := dem[victim]
+		// No up machine holds d at nominal capacity: the scan below
+		// could only come up empty (its filters only shrink that set).
+		if !c.Fleet.index.anyFits(d, 1) {
+			continue
+		}
 		target := -1
 		for _, m := range c.Fleet.Machines {
 			// Targets must be up and must hold the session *without*
@@ -268,8 +306,10 @@ func (c *Churn) MigrateOff(mi int, rttMs []float64) bool {
 		if target < 0 {
 			continue
 		}
+		s := c.sessions[mi][victim]
+		moved := src.Placed[victim]
 		c.releaseSlot(mi, victim)
-		c.Fleet.Machines[target].place(s.Served())
+		c.Fleet.Machines[target].place(&moved)
 		c.sessions[target] = append(c.sessions[target], s)
 		s.Machine = target
 		c.Migrations++

@@ -231,12 +231,20 @@ func TestChurnMigrateOffMovesHeaviestAndKeepsWhenNowhere(t *testing.T) {
 	c := NewChurn(f, pol)
 	d2, _ := app.ByName("D2")
 	re, _ := app.ByName("RE")
-	// Force both sessions onto machine 0 via a pinned policy: use
-	// Arrive with machine 1 full.
-	f.Machines[1].Cores = 0.1 // nothing fits
+	// Blockers fill machine 1 past what it could take on at nominal
+	// capacity: they arrive while machine 0 is down, and leave at
+	// epoch 1.
+	f.Machines[0].State = MachineDown
+	for i := 0; i < 2; i++ {
+		if !c.Arrive(&Session{ID: 10 + i, Profile: d2, Departs: 1}) {
+			t.Fatal("blockers must land on machine 1")
+		}
+	}
+	f.Machines[0].State = MachineUp
+	// Both sessions then land on the lighter machine 0.
 	s1 := &Session{ID: 0, Profile: re, Departs: 10}
 	s2 := &Session{ID: 1, Profile: d2, Departs: 10}
-	if !c.Arrive(s1) || !c.Arrive(s2) {
+	if !c.Arrive(s1) || !c.Arrive(s2) || s1.Machine != 0 || s2.Machine != 0 {
 		t.Fatal("both sessions must land on machine 0")
 	}
 	// Nowhere to go: machine 1 cannot hold anything.
@@ -245,7 +253,9 @@ func TestChurnMigrateOffMovesHeaviestAndKeepsWhenNowhere(t *testing.T) {
 		t.Fatal("migration must not fire when no other machine is feasible")
 	}
 	// Open machine 1 back up: the heavier D2 must move, not the RE.
-	f.Machines[1].Cores = 8
+	if c.DepartDue(1) != 2 {
+		t.Fatal("both blockers must depart")
+	}
 	if !c.MigrateOff(0, rtts) {
 		t.Fatal("migration must fire once a target is feasible")
 	}

@@ -201,6 +201,7 @@ func (c *Churn) retrySlot(s *Session, epoch, attempt int) (retryEntry, bool) {
 // exactly like Arrive. Sessions that exhaust the policy — or would
 // depart before their next attempt matures — count as Lost.
 func (c *Churn) Offer(s *Session, epoch int) bool {
+	c.syncEpoch(epoch)
 	if c.admit(s) {
 		return true
 	}
@@ -245,6 +246,7 @@ func (c *Churn) EvictAll(mi, epoch int) int {
 // passed are silently dropped from the queue as Lost (the tenant left).
 // Returns how many attempts ran and how many sessions were re-admitted.
 func (c *Churn) RetryDue(epoch int) (retried, recovered int) {
+	c.syncEpoch(epoch)
 	if len(c.retryQ) == 0 {
 		return 0, 0
 	}
@@ -293,12 +295,13 @@ func (c *Churn) QueuedRetries() int { return len(c.retryQ) }
 // most demand per tier step — the point of a brown-out is maximum
 // relief for minimum fidelity loss across the machine.
 func (c *Churn) DegradeOne(mi int) bool {
+	m := c.Fleet.Machines[mi]
 	best, bestDemand := -1, 0.0
 	for i, s := range c.sessions[mi] {
 		if s.Tier >= MaxDegradeTier {
 			continue
 		}
-		d := PredictedCPUDemand(s.Served())
+		d := demandOf(&m.Placed[i]) // resident i's served profile
 		if best < 0 || d > bestDemand {
 			best, bestDemand = i, d
 		}
@@ -308,7 +311,8 @@ func (c *Churn) DegradeOne(mi int) bool {
 	}
 	s := c.sessions[mi][best]
 	s.Tier++
-	c.Fleet.Machines[mi].replace(best, s.Served())
+	served := s.Served()
+	m.replace(best, &served)
 	return true
 }
 
@@ -352,13 +356,14 @@ func (c *Churn) UpgradeOne(mi int) bool {
 		return false
 	}
 	s := c.sessions[mi][best]
+	m := c.Fleet.Machines[mi]
 	restored := DegradedProfile(s.Profile, s.Tier-1)
-	added := PredictedCPUDemand(restored) - PredictedCPUDemand(s.Served())
-	if !c.Fleet.Machines[mi].Fits(added, 1) {
+	added := demandOf(&restored) - demandOf(&m.Placed[best])
+	if !m.Fits(added, 1) {
 		return false
 	}
 	s.Tier--
-	c.Fleet.Machines[mi].replace(best, restored)
+	m.replace(best, &restored)
 	return true
 }
 

@@ -144,8 +144,8 @@ func TestOfferRetryBackoffAndRecovery(t *testing.T) {
 	if !c.Arrive(blocker) {
 		t.Fatal("blocker must place on an empty 8-core machine")
 	}
-	// Choke the machine so nothing else fits, then offer.
-	f.Machines[0].Cores = 0.01
+	// Choke admission so nothing else fits, then offer.
+	f.Overcommit = 0.001
 	s := &Session{ID: 1, Profile: re, Departs: 100}
 	if c.Offer(s, 0) {
 		t.Fatal("a choked machine must reject the offer")
@@ -164,7 +164,7 @@ func TestOfferRetryBackoffAndRecovery(t *testing.T) {
 	if r, _ := c.RetryDue(2); r != 0 {
 		t.Fatal("attempt 2 matures at epoch 3, not 2")
 	}
-	f.Machines[0].Cores = 8
+	f.Overcommit = DefaultOvercommit
 	if r, rec := c.RetryDue(3); r != 1 || rec != 1 {
 		t.Fatalf("attempt 2 must recover once the machine has room: retried=%d recovered=%d", r, rec)
 	}
@@ -185,7 +185,7 @@ func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 	if !c.Arrive(&Session{ID: 0, Profile: re, Departs: 100}) {
 		t.Fatal("blocker must place")
 	}
-	f.Machines[0].Cores = 0.01
+	f.Overcommit = 0.001 // choke admission: nothing else fits
 
 	// Exhaustion: both attempts fail, the third never runs.
 	s := &Session{ID: 1, Profile: re, Departs: 100}
@@ -235,8 +235,8 @@ func TestEvictAllReversesPlacementAndEnqueues(t *testing.T) {
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}
 	d2, _ := app.ByName("D2")
 	re, _ := app.ByName("RE")
-	// Choke machine 1 so both sessions land on machine 0.
-	f.Machines[1].Cores = 0.01
+	// Machine 1 is down, so both sessions land on machine 0.
+	f.Machines[1].State = MachineDown
 	s1 := &Session{ID: 0, Profile: d2, Departs: 100}
 	s2 := &Session{ID: 1, Profile: re, Departs: 100}
 	if !c.Arrive(s1) || !c.Arrive(s2) {
@@ -316,9 +316,12 @@ func TestDegradeUpgradeRoundTripRestoresDemand(t *testing.T) {
 
 func TestUpgradeOneRespectsNominalCapacity(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(1, 8)
-	c := NewChurn(f, pol)
 	d2, _ := app.ByName("D2")
+	// A machine just big enough for one tier-1 D2, so restoring full
+	// fidelity would not fit un-overcommitted: the upgrade must refuse
+	// rather than push the machine back over its nominal capacity.
+	f := New(1, PredictedCPUDemand(DegradedProfile(d2, 1))+0.001)
+	c := NewChurn(f, pol)
 	s := &Session{ID: 0, Profile: d2, Departs: 100}
 	if !c.Arrive(s) {
 		t.Fatal("session must place")
@@ -326,10 +329,6 @@ func TestUpgradeOneRespectsNominalCapacity(t *testing.T) {
 	if !c.DegradeOne(0) {
 		t.Fatal("degrade must succeed")
 	}
-	// Shrink the machine so restoring full fidelity would not fit
-	// un-overcommitted: the upgrade must refuse rather than push the
-	// machine back over its nominal capacity.
-	f.Machines[0].Cores = f.Machines[0].Demand + 0.001
 	if c.UpgradeOne(0) {
 		t.Fatal("upgrade must refuse when the restored demand does not fit nominal capacity")
 	}

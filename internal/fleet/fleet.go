@@ -51,12 +51,16 @@ const QoSMaxRTTMs = 140.0
 // Machine is the placement-time view of one server: bookkeeping the
 // policies read (what is placed, predicted demand), not the simulated
 // hardware itself. The assembly layer pairs each Machine with a
-// core.Cluster when the fleet is executed.
+// core.Cluster when the fleet is executed. Machines belong to the
+// fleet NewHetero built them in: place, release and replace keep the
+// fleet's capacity index current.
 type Machine struct {
 	// Index is the machine's position in the fleet (stable identity;
 	// ties between equally-good machines break toward lower index).
 	Index int
-	// Cores is the machine's CPU capacity.
+	// Cores is the machine's CPU capacity. It is fixed once NewHetero
+	// builds the fleet: the capacity index groups machines by core
+	// class, so a later write would desynchronize placement.
 	Cores float64
 	// Placed holds the profiles placed on this machine, in admission
 	// order.
@@ -65,8 +69,12 @@ type Machine struct {
 	Demand float64
 	// State is the machine's availability (fault injection): the
 	// zero value MachineUp keeps every fault-free fleet byte-identical
-	// to the pre-fault implementation.
+	// to the pre-fault implementation. Writers change it between
+	// epochs; the capacity index re-reads it at the next admission
+	// entry point (see capIndex).
 	State MachineState
+	// index is the owning fleet's capacity index.
+	index *capIndex
 }
 
 // Fits reports whether adding demand d keeps the machine within its
@@ -79,9 +87,9 @@ func (m *Machine) Fits(d, overcommit float64) bool {
 // left-to-right sum over the placed list (identical to incremental
 // accumulation for append-only admission), so release can reverse the
 // bookkeeping exactly.
-func (m *Machine) place(p app.Profile) {
-	m.Placed = append(m.Placed, p)
-	m.Demand = sumDemand(m.Placed)
+func (m *Machine) place(p *app.Profile) {
+	m.Placed = append(m.Placed, *p)
+	m.reindex()
 }
 
 // release removes the placed instance at slot i (reversing place).
@@ -91,23 +99,31 @@ func (m *Machine) place(p app.Profile) {
 // could drift negative on an empty machine.
 func (m *Machine) release(i int) {
 	m.Placed = append(m.Placed[:i], m.Placed[i+1:]...)
-	m.Demand = sumDemand(m.Placed)
+	m.reindex()
 }
 
 // replace swaps the profile at slot i for p (a brown-out tier change:
 // same tenant, different served fidelity) and recomputes demand the
 // same left-to-right way place/release do, so a degrade followed by an
 // upgrade restores Demand bit-identically.
-func (m *Machine) replace(i int, p app.Profile) {
-	m.Placed[i] = p
+func (m *Machine) replace(i int, p *app.Profile) {
+	m.Placed[i] = *p
+	m.reindex()
+}
+
+// reindex recomputes Demand and rewrites the machine's index leaf.
+func (m *Machine) reindex() {
 	m.Demand = sumDemand(m.Placed)
+	m.index.update(m)
 }
 
 // sumDemand is the left-to-right predicted-demand sum of a placement.
+// It indexes rather than ranging by value: a Profile is about half a
+// kilobyte, and this runs on every placement change.
 func sumDemand(ps []app.Profile) float64 {
 	d := 0.0
-	for _, p := range ps {
-		d += PredictedCPUDemand(p)
+	for i := range ps {
+		d += demandOf(&ps[i])
 	}
 	return d
 }
@@ -116,17 +132,13 @@ func sumDemand(ps []app.Profile) float64 {
 type Fleet struct {
 	Machines []*Machine
 	// Overcommit caps each machine's predicted demand at Overcommit ×
-	// cores; requests that fit nowhere are rejected.
+	// cores; requests that fit nowhere are rejected. Placement reads it
+	// at query time, so it may change between admissions.
 	Overcommit float64
 	// Rejected holds the request indices admission turned away.
 	Rejected []int
-	// scratch backs feasible's result between placements. At churn-sweep
-	// arrival rates the feasibility list is the placement path's only
-	// allocation, and it is discarded the moment the policy picks —
-	// reusing one buffer keeps a million-arrival sweep off the garbage
-	// collector. Placement is sequential per fleet (the phase loop runs
-	// each trial single-threaded), so one buffer is safe.
-	scratch []*Machine
+	// index answers every placement query (see capIndex).
+	index capIndex
 }
 
 // New builds a fleet of n identical machines with the given core count
@@ -154,6 +166,7 @@ func NewHetero(n int, classes []float64) *Fleet {
 	for i := range f.Machines {
 		f.Machines[i] = &Machine{Index: i, Cores: classes[i%len(classes)]}
 	}
+	f.index.build(f.Machines, classes)
 	return f
 }
 
@@ -187,59 +200,26 @@ func ParseCoreClasses(s string) ([]float64, error) {
 // policy, restricted to machines with remaining overcommitted capacity.
 // Requests no machine can hold are recorded in f.Rejected. The loop is
 // fully deterministic: same fleet, stream and policy always produce the
-// same placement.
+// same placement. Machine states written before the call are honoured.
 func (f *Fleet) Admit(reqs []app.Profile, p Placement) {
-	for i, req := range reqs {
-		if f.placeOne(req, p) < 0 {
+	f.index.sync(f.Machines)
+	for i := range reqs {
+		if f.placeOne(&reqs[i], p) < 0 {
 			f.Rejected = append(f.Rejected, i)
 		}
 	}
 }
 
-// placeOne offers one request to the policy over the feasible machines
-// and records the placement, returning the chosen machine's fleet index
-// or -1 when no machine can (or the policy will) hold it. Policies
-// whose choice short-circuits (cursorPicker) skip materializing the
-// feasibility list entirely — the scan stops at the machine the full
-// list would have selected anyway.
-func (f *Fleet) placeOne(req app.Profile, p Placement) int {
-	d := PredictedCPUDemand(req)
-	if cp, ok := p.(cursorPicker); ok {
-		mi := cp.pickDirect(f, d)
-		if mi < 0 {
-			return -1
-		}
-		f.Machines[mi].place(req)
-		return mi
-	}
-	feasible := f.feasible(d)
-	if len(feasible) == 0 {
+// placeOne asks the policy for a machine and records the placement,
+// returning the chosen machine's fleet index or -1 when no machine can
+// (or the policy will) hold the request.
+func (f *Fleet) placeOne(req *app.Profile, p Placement) int {
+	mi := p.choose(f, req, demandOf(req))
+	if mi < 0 {
 		return -1
 	}
-	pick := p.Pick(feasible, req)
-	if pick < 0 || pick >= len(feasible) {
-		return -1
-	}
-	feasible[pick].place(req)
-	return feasible[pick].Index
-}
-
-// feasible lists the machines that can hold one more request of demand
-// d, in index order. Machines that are down or cold-starting (fault
-// injection) take no placements. The returned slice is valid until the
-// next call (it reuses the fleet's scratch buffer).
-func (f *Fleet) feasible(d float64) []*Machine {
-	out := f.scratch[:0]
-	for _, m := range f.Machines {
-		if m.State != MachineUp {
-			continue
-		}
-		if m.Fits(d, f.Overcommit) {
-			out = append(out, m)
-		}
-	}
-	f.scratch = out
-	return out
+	f.Machines[mi].place(req)
+	return mi
 }
 
 // Placements returns each machine's placed profiles (index-aligned with
@@ -259,7 +239,10 @@ func (f *Fleet) Placements() [][]app.Profile {
 // measures the truth — but it orders the suite correctly (D2's worker
 // threads and STK's encode volume are the heavyweights, RE is the
 // lightest), which is all a least-loaded or bin-packing policy needs.
-func PredictedCPUDemand(p app.Profile) float64 {
+func PredictedCPUDemand(p app.Profile) float64 { return demandOf(&p) }
+
+// demandOf is PredictedCPUDemand without the half-kilobyte Profile copy.
+func demandOf(p *app.Profile) float64 {
 	const targetFPS = 60
 	frameMB := float64(p.Width*p.Height) * 4 / 1e6 // raw RGBA readback
 	perFrameMs := p.ALBaseMs + p.ASBaseMs + p.ASPerMBMs*frameMB + p.Codec.MsPerMB*frameMB

@@ -263,17 +263,19 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 	it.Set("IM", "RE", 0.2)
 	it.Set("IM", "D2", 0.3)
 
-	mk := func(index int, order []app.Profile) *Machine {
-		m := &Machine{Index: index, Cores: 64}
-		for _, p := range order {
-			m.place(p)
+	// Two 64-core machines holding the same multiset in opposite
+	// accumulation orders: costs differ by one ulp, demands are the
+	// same sum reordered.
+	mk := func(orders ...[]app.Profile) *Fleet {
+		f := New(len(orders), 64)
+		for i, order := range orders {
+			for j := range order {
+				f.Machines[i].place(&order[j])
+			}
 		}
-		return m
+		return f
 	}
-	// Same multiset, opposite accumulation orders: costs differ by one
-	// ulp, demands are the same sum reordered.
-	a := mk(0, []app.Profile{stk, re, d2})
-	b := mk(1, []app.Profile{d2, re, stk})
+	ab, ba := []app.Profile{stk, re, d2}, []app.Profile{d2, re, stk}
 	costOf := func(m *Machine) float64 {
 		c := 0.0
 		for _, p := range m.Placed {
@@ -281,32 +283,30 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 		}
 		return c
 	}
-	if costOf(a) == costOf(b) {
+	f := mk(ab, ba)
+	if costOf(f.Machines[0]) == costOf(f.Machines[1]) {
 		t.Skip("float accumulation happens to agree on this platform; tie-break not exercised")
 	}
 	pol := &BinPack{Interference: it}
-	if got := pol.Pick([]*Machine{a, b}, im); got != 0 {
+	if got := f.placeOne(&im, pol); got != 0 {
 		t.Fatalf("ulp-level cost difference broke the lower-index tie-break: picked %d", got)
 	}
-	// Order mustn't matter: with b first, b (the new lower index) wins.
-	b.Index, a.Index = 0, 1
-	if got := pol.Pick([]*Machine{b, a}, im); got != 0 {
+	// Order mustn't matter: with the orders swapped, machine 0 still wins.
+	if got := mk(ba, ab).placeOne(&im, pol); got != 0 {
 		t.Fatalf("tie-break must pick the first (lowest-index) machine, picked %d", got)
 	}
 }
 
 // TestBinPackPrefersFullerOnCostTie pins the documented second key:
-// among cost-tied machines, the fuller one wins even when it appears
-// later in the feasible slice.
+// among cost-tied machines, the fuller one wins even when it comes
+// later in index order.
 func TestBinPackPrefersFullerOnCostTie(t *testing.T) {
 	re, _ := app.ByName("RE")
 	d2, _ := app.ByName("D2")
-	empty := &Machine{Index: 0, Cores: 64}
-	fuller := &Machine{Index: 1, Cores: 64}
-	fuller.place(d2)
+	f := New(2, 64)
+	f.Machines[1].place(&d2)
 	// No interference table: every cost is 0 — a pure tie.
-	pol := &BinPack{}
-	if got := pol.Pick([]*Machine{empty, fuller}, re); got != 1 {
+	if got := f.placeOne(&re, &BinPack{}); got != 1 {
 		t.Fatalf("cost tie must prefer the fuller machine, picked %d", got)
 	}
 }

@@ -6,15 +6,17 @@ import (
 	"pictor/internal/app"
 )
 
-// Placement decides where an admitted request lands. Pick receives the
-// feasible machines (those with remaining overcommitted capacity, in
-// index order, never empty) and returns the index *into that slice* of
-// the chosen machine, or -1 to reject the request anyway. Policies must
-// be deterministic: placement feeds the deterministic experiment
-// runner, so equal inputs must always produce equal choices.
+// Placement decides where an admitted request lands. A policy answers
+// from the fleet's capacity index (see capIndex): choose receives the
+// fleet, the request and its predicted demand d, and returns the fleet
+// index of the chosen machine — one that is up and holds d within
+// Fleet.Overcommit × its cores — or -1 to reject the request. Policies
+// must be deterministic: placement feeds the deterministic experiment
+// runner, so equal inputs must always produce equal choices. The
+// policies are the ones this package defines (NewPolicy builds them).
 type Placement interface {
 	Name() string
-	Pick(feasible []*Machine, req app.Profile) int
+	choose(f *Fleet, req *app.Profile, d float64) int
 }
 
 // Policy names, as accepted by NewPolicy and the CLI's -policy flag.
@@ -47,73 +49,25 @@ func NewPolicy(name string, it *Interference) (Placement, error) {
 	return nil, fmt.Errorf("fleet: unknown policy %q (have %v)", name, PolicyNames())
 }
 
-// RoundRobin cycles machines in index order, skipping full ones (the
-// feasibility filter already removed those). It balances instance
-// counts without looking at the workload at all — the baseline every
-// load balancer starts from.
+// RoundRobin cycles machines in index order, skipping full ones. It
+// balances instance counts without looking at the workload at all —
+// the baseline every load balancer starts from.
 type RoundRobin struct {
 	next int
 }
 
 func (*RoundRobin) Name() string { return PolicyRoundRobin }
 
-func (p *RoundRobin) Pick(feasible []*Machine, _ app.Profile) int {
-	// The cursor advances over machine indices, not the feasible slice,
-	// so a temporarily-full machine does not shift everyone else's turn.
-	best, bestKey := 0, -1
-	for i, m := range feasible {
-		// Key orders machines by distance from the cursor, wrapping.
-		key := m.Index - p.next
-		if key < 0 {
-			key += 1 << 30
-		}
-		if bestKey == -1 || key < bestKey {
-			best, bestKey = i, key
-		}
+// choose takes the first fitting machine at or after the cursor,
+// wrapping once. The cursor advances over machine indices and only on a
+// successful placement, so a temporarily-full machine does not shift
+// everyone else's turn. O(C log M).
+func (p *RoundRobin) choose(f *Fleet, _ *app.Profile, d float64) int {
+	mi := f.index.firstFitFrom(p.next%len(f.Machines), d, f.Overcommit)
+	if mi >= 0 {
+		p.next = mi + 1
 	}
-	p.next = feasible[best].Index + 1
-	return best
-}
-
-// cursorPicker is the streaming fast path for policies whose choice is
-// "the first fitting machine in my own probe order": placeOne offers
-// machines directly and the policy stops at the first fit, instead of
-// materializing the whole feasibility list only to discard all but one
-// entry — the difference between O(first fit) and O(fleet) per arrival
-// on a 10k-machine sweep. An implementation must select exactly the
-// machine its Pick would select from the full feasible list, or
-// schedule goldens diverge by policy dispatch path.
-type cursorPicker interface {
-	// pickDirect returns the chosen machine's fleet index (without
-	// placing on it), or -1 when no up machine fits demand d.
-	pickDirect(f *Fleet, d float64) int
-}
-
-// pickDirect: Pick minimizes wrapping cursor distance over the feasible
-// list, which is exactly "the first fitting index at or after the
-// cursor, wrapping once" — so probe in that order and stop at the
-// first fit. The cursor only advances on a successful placement,
-// matching the slow path (an empty feasibility list never reaches
-// Pick).
-func (p *RoundRobin) pickDirect(f *Fleet, d float64) int {
-	n := len(f.Machines)
-	if n == 0 {
-		return -1
-	}
-	start := p.next % n
-	for i := 0; i < n; i++ {
-		idx := start + i
-		if idx >= n {
-			idx -= n
-		}
-		m := f.Machines[idx]
-		if m.State != MachineUp || !m.Fits(d, f.Overcommit) {
-			continue
-		}
-		p.next = idx + 1
-		return idx
-	}
-	return -1
+	return mi
 }
 
 // LeastLoadedCount places on the feasible machine hosting the fewest
@@ -123,14 +77,10 @@ type LeastLoadedCount struct{}
 
 func (LeastLoadedCount) Name() string { return PolicyLeastCount }
 
-func (LeastLoadedCount) Pick(feasible []*Machine, _ app.Profile) int {
-	best := 0
-	for i, m := range feasible {
-		if len(m.Placed) < len(feasible[best].Placed) {
-			best = i
-		}
-	}
-	return best
+// choose is an exact branch and bound over the index: O(C log M) when
+// counts are balanced.
+func (LeastLoadedCount) choose(f *Fleet, _ *app.Profile, d float64) int {
+	return f.index.leastCount(d, f.Overcommit)
 }
 
 // LeastLoadedDemand places on the feasible machine with the lowest
@@ -142,14 +92,9 @@ type LeastLoadedDemand struct{}
 
 func (LeastLoadedDemand) Name() string { return PolicyLeastDemand }
 
-func (LeastLoadedDemand) Pick(feasible []*Machine, _ app.Profile) int {
-	best := 0
-	for i, m := range feasible {
-		if m.Demand < feasible[best].Demand {
-			best = i
-		}
-	}
-	return best
+// choose reads each class minimum: O(C).
+func (LeastLoadedDemand) choose(f *Fleet, _ *app.Profile, d float64) int {
+	return f.index.leastDemand(d, f.Overcommit)
 }
 
 // BinPack is profile-affinity bin-packing: among the machines where the
@@ -175,12 +120,19 @@ func (*BinPack) Name() string { return PolicyBinPack }
 // anything within the tolerance counts as the tie it morally is.
 const binPackEps = 1e-9
 
-func (p *BinPack) Pick(feasible []*Machine, req app.Profile) int {
+// choose walks the fleet in index order over the index's up machines:
+// a machine's cost depends on the request's profile against each of its
+// residents, and the tolerance tie-break depends on visiting order, so
+// neither reduces to a per-subtree key. O(M × residents).
+func (p *BinPack) choose(f *Fleet, req *app.Profile, d float64) int {
 	best, bestCost, bestDemand := -1, 0.0, 0.0
-	for i, m := range feasible {
+	for i, m := range f.Machines {
+		if !m.Fits(d, f.Overcommit) || !f.index.up(i) {
+			continue
+		}
 		cost := 0.0
-		for _, placed := range m.Placed {
-			cost += p.Interference.Score(req.Name, placed.Name)
+		for j := range m.Placed {
+			cost += p.Interference.Score(req.Name, m.Placed[j].Name)
 		}
 		// Lexicographic (cost, -demand, index) with tolerance: minimal
 		// interference first; among equal costs, pack the fullest

@@ -27,9 +27,10 @@ go test -run '^$' -bench 'BenchmarkSuiteGridSequential' \
     -benchtime "$GRID_BENCHTIME" . | tee -a "$TMP"
 
 # Fleet-scale sweeps pinned by benchguard: the per-epoch fault
-# bookkeeping loop and the phase-loop/streaming scale contracts (one
-# iteration each — they assert their own scale internally).
-go test -run '^$' -bench 'BenchmarkFaultChurnBookkeeping$' \
+# bookkeeping loop, per-arrival placement at 1k/10k/100k machines, and
+# the phase-loop/streaming scale contracts (one iteration each — they
+# assert their own scale internally).
+go test -run '^$' -bench 'BenchmarkFaultChurnBookkeeping$|BenchmarkPlacement$' \
     -benchmem ./internal/fleet/ | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkGlobalKernelSweep$|BenchmarkDiurnalMillionSweep$' \
     -benchtime 1x -benchmem . | tee -a "$TMP"

@@ -15,7 +15,8 @@ the fault-churn bookkeeping loop, the per-epoch overhead every fault
 trial pays, and the phase-loop and diurnal-million sweeps, the scale
 contracts of the fidelity tiers and the streaming arrival API: ~100k
 sessions over 1000 machines and ~1M sessions over 10k machines must
-stay in whole-seconds territory), and they are stable enough (no allocation
+stay in whole-seconds territory, and one arrival's placement through
+the capacity index on a 10k-machine fleet), and they are stable enough (no allocation
 churn, no I/O) that a >20% move is a code regression, not noise.
 
 A pinned benchmark with no recorded entry in the JSON fails the guard:
@@ -44,6 +45,7 @@ PINNED = [
     "BenchmarkFaultChurnBookkeeping",
     "BenchmarkGlobalKernelSweep",
     "BenchmarkDiurnalMillionSweep",
+    "BenchmarkPlacement/leastdemand/M=10k",
 ]
 
 
