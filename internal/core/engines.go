@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"pictor/internal/engine"
 	"pictor/internal/exp"
@@ -46,10 +46,14 @@ type churnPortal struct {
 	sampled   int
 
 	out *ChurnResult
-	// Per-epoch scratch, reset at Gauge and folded into out at React.
+	// Per-epoch scratch, reset at Gauge and folded into out at React;
+	// the slices are reused across epochs.
 	er         EpochResult
 	machineRTT []stats.Summary
 	epochRTTs  []stats.Summary
+	rtts       []stats.Summary // Collect's per-machine scratch
+	rttMs      []float64       // React's per-machine mean RTT, read by MigrateOff
+	violators  []int           // React's machines over the QoS ceiling
 	allRTTs    []stats.Summary
 	rollupRTTs []stats.Summary
 }
@@ -117,7 +121,11 @@ func (p *churnPortal) Gauge(e int) {
 	for mi := range p.f.Machines {
 		p.er.Degraded += p.c.DegradedResidents(mi)
 	}
-	p.machineRTT = make([]stats.Summary, len(p.f.Machines))
+	if p.machineRTT == nil {
+		p.machineRTT = make([]stats.Summary, len(p.f.Machines))
+	} else {
+		clear(p.machineRTT) // a machine that does not execute measures nothing
+	}
 	p.epochRTTs = p.epochRTTs[:0]
 	if !p.sh.OccupancyDetail {
 		return
@@ -152,10 +160,12 @@ func (p *churnPortal) EngineFor(_, mi int) engine.SessionEngine {
 
 // Collect folds one machine's epoch measurements into the epoch
 // scratch. The loop delivers machines in index order, so the pooled
-// aggregates are byte-stable.
+// aggregates are byte-stable. It copies values out of me.Sessions and
+// keeps neither that slice nor its own rtts scratch, so both are
+// reused on the next call.
 func (p *churnPortal) Collect(_, mi int, me engine.MachineEpoch) {
 	p.er.PowerWatts += me.PowerWatts
-	var rtts []stats.Summary
+	rtts := p.rtts[:0]
 	for _, s := range me.Sessions {
 		if s.QoSViolation {
 			p.er.QoSViolations++
@@ -164,6 +174,7 @@ func (p *churnPortal) Collect(_, mi int, me engine.MachineEpoch) {
 			rtts = append(rtts, s.RTT)
 		}
 	}
+	p.rtts = rtts
 	p.machineRTT[mi] = exp.PoolSummaries(rtts)
 	p.epochRTTs = append(p.epochRTTs, rtts...)
 	if p.sh.OccupancyDetail {
@@ -194,19 +205,20 @@ func (p *churnPortal) React(e int) {
 
 	sh := p.sh
 	if (sh.Migrate || sh.Degrade) && e < sh.Epochs-1 {
-		rtt := make([]float64, len(p.f.Machines))
-		violators := make([]int, 0, len(p.f.Machines))
+		if p.rttMs == nil {
+			p.rttMs = make([]float64, len(p.f.Machines))
+		}
+		rtt, violators := p.rttMs, p.violators[:0]
 		for mi := range p.f.Machines {
-			if p.machineRTT[mi].N > 0 {
-				rtt[mi] = p.machineRTT[mi].Mean
-				if rtt[mi] > fleet.QoSMaxRTTMs {
-					violators = append(violators, mi)
-				}
+			rtt[mi] = p.machineRTT[mi].Mean // 0 when nothing was measured
+			if rtt[mi] > fleet.QoSMaxRTTMs {
+				violators = append(violators, mi)
 			}
 		}
 		sort.SliceStable(violators, func(a, b int) bool {
 			return rtt[violators[a]] > rtt[violators[b]]
 		})
+		p.violators = violators
 		for _, mi := range violators {
 			if sh.Degrade && p.c.DegradeToFit(mi) > 0 {
 				continue
@@ -250,7 +262,26 @@ func (p *churnPortal) React(e int) {
 // simulated cluster per machine-epoch, exactly the execution the
 // historical nested loop ran.
 type fullEngine struct {
-	p *churnPortal
+	p   *churnPortal
+	key seedKey
+}
+
+// churnKeyPrefix starts a machine's per-epoch cluster seed key:
+// "fleet/churn/m<machine>/e<epoch>".
+const churnKeyPrefix = "fleet/churn/m"
+
+// seedKey derives a session engine's per-(id, epoch) seeds:
+// DeriveSeed(base, prefix+"<id>/e<epoch>", rep), the key appended into
+// one reused buffer — the bytes fmt.Sprintf(prefix+"%d/e%d", id, e)
+// would format, without a string per call.
+type seedKey struct{ buf []byte }
+
+func (k *seedKey) derive(base int64, prefix string, id, e, rep int) int64 {
+	b := append(k.buf[:0], prefix...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, "/e"...)
+	k.buf = strconv.AppendInt(b, int64(e), 10)
+	return exp.DeriveSeed(base, k.buf, rep)
 }
 
 // AdvanceEpoch builds and runs machine mi's cluster for epoch e.
@@ -264,7 +295,7 @@ func (fe *fullEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 	p := fe.p
 	m := p.f.Machines[mi]
 	cl := NewCluster(Options{
-		Seed:  exp.DeriveSeed(p.streamBase, fmt.Sprintf("fleet/churn/m%d/e%d", mi, e), p.u.Rep),
+		Seed:  fe.key.derive(p.streamBase, churnKeyPrefix, mi, e, p.u.Rep),
 		Cores: int(m.Cores + 0.5),
 	})
 	for _, prof := range m.Placed {

@@ -38,6 +38,10 @@ const surrogateSeed = 0x5EEDFACE
 // extrapolate.
 const surrogateColoDepth = 4
 
+// surrogateKeyPrefix starts a session's per-epoch jitter seed key:
+// "fleet/surrogate/s<session ID>/e<epoch>".
+const surrogateKeyPrefix = "fleet/surrogate/s"
+
 // surrogateJitterSigma is the per-(session, epoch) lognormal spread
 // applied to the interpolated curves, approximating the run-to-run
 // noise of the full simulator.
@@ -176,18 +180,26 @@ type surrogateEngine struct {
 	p     *churnPortal
 	table surrogateTable
 	model power.Model
+	key   seedKey
 	// batch caches one curve evaluation per profile within a single
 	// AdvanceEpoch call: the machine's load is fixed for the epoch, so
 	// every resident of a profile shares the same interpolated point
-	// and only the per-session jitter differs. The loop executes one
-	// trial's machines sequentially, so the scratch map never races.
-	batch map[string]surrogateEval
+	// and only the per-session jitter differs. A machine hosts at most
+	// the suite's handful of profiles (nine in the largest registry),
+	// so a linear scan beats a map that must be cleared per call. The
+	// loop executes one trial's machines sequentially, so the scratch
+	// never races.
+	batch []surrogateEval
+	// sessions backs every returned MachineEpoch.Sessions: the phase
+	// loop's Collect copies what it keeps before the next call.
+	sessions []engine.SessionObs
 }
 
 // surrogateEval is one interpolated curve point — the (profile,
 // machine-load) evaluation shared by every resident of the profile on
 // the machine this epoch, before per-session jitter.
 type surrogateEval struct {
+	profile       string
 	rtt           stats.Summary
 	fps, cpu, gpu float64
 }
@@ -205,7 +217,8 @@ func newSurrogateEngine(p *churnPortal, suite []app.Profile) *surrogateEngine {
 // its deterministic per-(session, epoch, rep) lognormal jitter, and
 // the machine's power is modelled from the summed predicted
 // utilizations (capped at physical capacity, like the full engine's
-// wall meter) — idle machines burn exactly the idle floor.
+// wall meter) — idle machines burn exactly the idle floor. The
+// returned Sessions slice is reused by the next call.
 func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 	p := se.p
 	m := p.f.Machines[mi]
@@ -216,29 +229,17 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 	}
 	me := engine.MachineEpoch{
 		Demand:   m.Demand,
-		Sessions: make([]engine.SessionObs, 0, len(residents)),
+		Sessions: se.sessions[:0],
 	}
-	if se.batch == nil {
-		se.batch = make(map[string]surrogateEval, 8)
-	} else {
-		clear(se.batch)
-	}
+	se.batch = se.batch[:0]
 	var cpu, gpu float64
 	for _, s := range residents {
-		ev, ok := se.batch[s.Profile.Name]
-		if !ok {
-			cv, cok := se.table[s.Profile.Name]
-			if !cok {
-				panic(fmt.Sprintf("core: surrogate has no calibrated curve for profile %q (trial %q)", s.Profile.Name, p.t.ID))
-			}
-			ev.rtt, ev.fps, ev.cpu, ev.gpu = cv.at(L)
-			se.batch[s.Profile.Name] = ev
-		}
+		ev := se.eval(s.Profile.Name, L)
 		rtt, fps, c1, g1 := ev.rtt, ev.fps, ev.cpu, ev.gpu
 		// One lognormal draw per (session, epoch, rep) seed; FirstLogNormal
 		// yields the seeded RNG's exact value without the O(607) seeding
 		// cost that dominated million-session sweeps.
-		j := sim.FirstLogNormal(exp.DeriveSeed(p.streamBase, fmt.Sprintf("fleet/surrogate/s%d/e%d", s.ID, e), p.u.Rep), 1, surrogateJitterSigma)
+		j := sim.FirstLogNormal(se.key.derive(p.streamBase, surrogateKeyPrefix, s.ID, e, p.u.Rep), 1, surrogateJitterSigma)
 		rtt.Mean *= j
 		rtt.P1 *= j
 		rtt.P25 *= j
@@ -259,9 +260,28 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 		cpu += c1
 		gpu += g1
 	}
+	se.sessions = me.Sessions
 	if maxUtil := m.Cores * 100; cpu > maxUtil {
 		cpu = maxUtil
 	}
 	me.PowerWatts = se.model.TotalWatts(cpu, gpu, len(residents))
 	return me
+}
+
+// eval returns the profile's curve point at load L, evaluating it on
+// the first resident of the profile this call and reusing it after.
+func (se *surrogateEngine) eval(profile string, L float64) surrogateEval {
+	for _, ev := range se.batch {
+		if ev.profile == profile {
+			return ev
+		}
+	}
+	cv, ok := se.table[profile]
+	if !ok {
+		panic(fmt.Sprintf("core: surrogate has no calibrated curve for profile %q (trial %q)", profile, se.p.t.ID))
+	}
+	ev := surrogateEval{profile: profile}
+	ev.rtt, ev.fps, ev.cpu, ev.gpu = cv.at(L)
+	se.batch = append(se.batch, ev)
+	return ev
 }

@@ -41,6 +41,8 @@ type MachineEpoch struct {
 	// Demand echoes the predicted CPU demand the machine executed at.
 	Demand float64
 	// Sessions holds one observation per resident, in placement order.
+	// It is valid until the engine's next AdvanceEpoch call: an engine
+	// may reuse the backing array, so Collect copies what it keeps.
 	Sessions []SessionObs
 }
 

@@ -7,9 +7,10 @@ package exp
 // mixed, so adjacent repetitions or near-identical trials do not get
 // correlated random streams.
 
-// fnv64a hashes a string with FNV-1a (stdlib hash/fnv allocates; this
-// is the same function inlined for the hot grid-expansion path).
-func fnv64a(s string) uint64 {
+// fnv64a hashes a key with FNV-1a (stdlib hash/fnv allocates; this is
+// the same function inlined for the hot grid-expansion and per-epoch
+// paths).
+func fnv64a[K string | []byte](s K) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -32,7 +33,10 @@ func splitmix64(x uint64) uint64 {
 }
 
 // DeriveSeed derives the RNG seed for one execution unit from the
-// runner's base seed, the trial's Key() and the repetition index.
+// runner's base seed, the trial's Key() and the repetition index. The
+// key may be a string or a byte buffer — per-epoch callers append keys
+// with strconv.Append* into reused scratch instead of formatting a
+// string per call — and equal bytes derive equal seeds either way.
 //
 // Repetitions of one trial can never collide: splitmix64 is a
 // bijection and hash(key) + rep is distinct for each rep of the same
@@ -42,7 +46,7 @@ func splitmix64(x uint64) uint64 {
 // other (~n²/2⁶⁴ for an n-unit grid; negligible at any real grid
 // size, and verified collision-free over the full suite grid by
 // TestDeriveSeedCollisionFree).
-func DeriveSeed(base int64, key string, rep int) int64 {
+func DeriveSeed[K string | []byte](base int64, key K, rep int) int64 {
 	h := fnv64a(key)
 	x := splitmix64(uint64(base))
 	x ^= splitmix64(h + uint64(rep))

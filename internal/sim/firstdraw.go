@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// This file computes the FIRST draw of a freshly seeded RNG in O(1),
-// bit-for-bit identical to NewRNG(seed) doing the same draw.
+// This file computes the FIRST normal draw of a freshly seeded RNG in
+// O(1), bit-for-bit identical to NewRNG(seed) doing the same draw.
 //
 // The simulator's determinism discipline derives a fresh seed per
 // logical event (per session-epoch jitter, for example) so results
@@ -16,41 +16,74 @@ import (
 // Lehmer steps, ~5KB of state) even when the caller consumes a single
 // value. On a million-session sweep that seeding is the dominant cost.
 //
-// The shortcut: the generator's first output reads exactly two register
-// elements, vec[333]+vec[606] (feed starts at rngLen-rngTap=334, tap at
-// 0; both decrement before the read). Each vec[i] is built from three
-// consecutive values of the seeding LCG x[n+1] = 48271·x[n] mod 2³¹-1 —
-// element i uses chain positions 20+3i+1..3 (20 warmup steps precede
-// element 0) — XORed with a fixed "cooked" constant. A multiplicative
-// LCG jumps to position n with one modmul by 48271ⁿ, so both elements
-// (chain positions 1020..1022 and 1839..1841) cost six modmuls total.
+// The shortcut reconstructs the generator's k-th output directly.
+// Seeding leaves feed at rngLen-rngTap=334 and tap at 0, and both
+// decrement before each read, so output k is vec[334-k]+vec[607-k]
+// (masked to 63 bits) for as long as neither index has come round to a
+// slot an earlier output wrote back — the first 273 outputs. Each vec[i]
+// is built from three consecutive values of the seeding LCG
+// x[n+1] = 48271·x[n] mod 2³¹-1 — element i uses chain positions
+// 20+3i+1..3 (20 warmup steps precede element 0) — XORed with a fixed
+// "cooked" constant. A multiplicative LCG jumps to position n with one
+// modmul by 48271ⁿ, so output k costs six modmuls. replayNormal runs
+// math/rand's NormFloat64 ziggurat loop over outputs 1..firstDrawK made
+// this way: the first-try accept (k = 1), the wedge test against fn,
+// and the base-strip tail with rn and math.Log.
 //
-// The magic constants below are math/rand's: rngCooked[333] and
-// rngCooked[606] from rng.go, and the ziggurat accept tables kn/wn from
-// normal.go (Go stdlib, BSD license). They are frozen by the Go 1
-// compatibility promise — top-level math/rand sequences can never
-// change — and verifyFirstDraw cross-checks against the real generator
-// on first use anyway, falling back to full seeding on any mismatch.
+// The magic constants below are math/rand's: rngCooked[334-k] and
+// rngCooked[607-k] for k = 1..firstDrawK from rng.go, and the ziggurat
+// tables kn/wn/fn and tail start rn from normal.go (Go stdlib, BSD
+// license). They are frozen by the Go 1 compatibility promise —
+// top-level math/rand sequences can never change — and verifyFirstDraw
+// cross-checks against the real generator on first use anyway, over
+// seeds taking every branch, falling back to full seeding on any
+// mismatch.
 
 const (
 	lehmerM = 1<<31 - 1 // modulus of math/rand's seeding LCG
 	lehmerA = 48271     // its multiplier
 
-	rngFirstMask = 1<<63 - 1 // Int63 masks the sign bit off Uint64
+	rngMask = 1<<63 - 1 // Int63 masks the sign bit off Uint64
+
+	// firstDrawK is how many outputs the replay reconstructs. Any K up
+	// to 273 is exact; a ziggurat rejection reads one or two more
+	// outputs, and none of 2,000,000 seeds tried needed more than seven.
+	// Past K, FirstNormal seeds a real generator.
+	firstDrawK = 16
+
+	rn = 3.442619855899 // math/rand's ziggurat base-strip tail start
 )
 
-// rngCooked[333] and rngCooked[606] from math/rand/rng.go.
+// rngCooked[334-k] and rngCooked[607-k] from math/rand/rng.go, indexed
+// by k-1: the cooked constants of the two register elements output k
+// reads.
 var (
-	cooked333 = int64(-4633371852008891965)
-	cooked606 = int64(4152330101494654406)
+	cookedFeed = [firstDrawK]int64{
+		-4633371852008891965, 4287360518296753003, -1072987336855386047, 220828013409515943,
+		-7602572252857820065, -4799698790548231394, 3648778920718647903, 581945337509520675,
+		-8060058171802589521, -6564663803938238204, -2889241648411946534, -3915372517896561773,
+		3681559472488511871, 2681532557646850893, -4304087667751778808, -8394115921626182539,
+	}
+	cookedTap = [firstDrawK]int64{
+		4152330101494654406, 9103922860780351547, 8382142935188824023, -2171292963361310674,
+		-6278469401177312761, -307900319840287220, -1894351639983151068, -758328221503023383,
+		5896236396443472108, -6344160503358350167, -4300543082831323144, -3929437324238184044,
+		-7703910638917631350, 2918308698224194548, 4133292154170828382, -7490986807540332668,
+	}
 )
 
-// Jump multipliers 48271ⁿ mod 2³¹-1 for the six chain positions feeding
-// vec[333] (n=1020..1022) and vec[606] (n=1839..1841).
-var firstDrawJump = [6]uint64{
-	modexp(lehmerA, 1020), modexp(lehmerA, 1021), modexp(lehmerA, 1022),
-	modexp(lehmerA, 1839), modexp(lehmerA, 1840), modexp(lehmerA, 1841),
-}
+// firstDrawJump[k-1] holds the jump multipliers 48271ⁿ mod 2³¹-1 for
+// the six chain positions output k reads: vec[334-k] (n = 1023-3k ..
+// 1025-3k) and vec[607-k] (n = 1842-3k .. 1844-3k).
+var firstDrawJump = func() (t [firstDrawK][6]uint64) {
+	for k := 1; k <= firstDrawK; k++ {
+		for d := 0; d < 3; d++ {
+			t[k-1][d] = modexp(lehmerA, uint64(1023-3*k+d))
+			t[k-1][3+d] = modexp(lehmerA, uint64(1842-3*k+d))
+		}
+	}
+	return t
+}()
 
 func modexp(base, exp uint64) uint64 {
 	r, b := uint64(1), base%lehmerM
@@ -63,10 +96,16 @@ func modexp(base, exp uint64) uint64 {
 	return r
 }
 
-// firstInt63 returns NewRNG(seed).Int63()'s first value without seeding
-// a source: seed normalization copies rngSource.Seed, the register
-// elements come from LCG jumps, and the first output is their sum.
-func firstInt63(seed int64) int64 {
+// firstDraws replays a freshly seeded math/rand source's outputs
+// 1..limit (limit <= firstDrawK) without building its register.
+type firstDraws struct {
+	x0    uint64 // chain position 0: the normalized seed
+	n     int    // outputs consumed so far
+	limit int
+}
+
+func newFirstDraws(seed int64, limit int) firstDraws {
+	// Seed normalization copies rngSource.Seed.
 	s := seed % lehmerM
 	if s < 0 {
 		s += lehmerM
@@ -74,24 +113,87 @@ func firstInt63(seed int64) int64 {
 	if s == 0 {
 		s = 89482311 // rngSource.Seed's replacement for the fixed point 0
 	}
-	x0 := uint64(s)
-	at := func(j int) uint64 { return x0 * firstDrawJump[j] % lehmerM }
-	v333 := (at(0)<<40 ^ at(1)<<20 ^ at(2)) ^ uint64(cooked333)
-	v606 := (at(3)<<40 ^ at(4)<<20 ^ at(5)) ^ uint64(cooked606)
-	return int64((v333 + v606) & rngFirstMask)
+	return firstDraws{x0: uint64(s), limit: limit}
 }
 
-// fastFirstNormal is the ziggurat's first iteration over the first
-// uniform draw: it resolves >99% of seeds. The rejection paths consume
-// further draws, so they report !ok and the caller replays the stream
-// with a real generator.
-func fastFirstNormal(seed int64) (float64, bool) {
-	j := int32(uint32(firstInt63(seed) >> 31)) // Rand.Uint32, possibly negative
-	i := j & 0x7F
-	if absInt32(j) < kn[i] {
-		return float64(j) * float64(wn[i]), true
+// int63 is the source's next Int63, or !ok past the limit.
+func (d *firstDraws) int63() (int64, bool) {
+	if d.n >= d.limit {
+		return 0, false
 	}
-	return 0, false
+	j := &firstDrawJump[d.n]
+	at := func(i int) uint64 { return d.x0 * j[i] % lehmerM }
+	feed := at(0)<<40 ^ at(1)<<20 ^ at(2) ^ uint64(cookedFeed[d.n])
+	tap := at(3)<<40 ^ at(4)<<20 ^ at(5) ^ uint64(cookedTap[d.n])
+	d.n++
+	return int64((feed + tap) & rngMask), true
+}
+
+// float64 is Rand.Float64 over int63, including its resample on 1.0.
+func (d *firstDraws) float64() (float64, bool) {
+	for {
+		v, ok := d.int63()
+		if !ok {
+			return 0, false
+		}
+		if f := float64(v) / (1 << 63); f != 1 {
+			return f, true
+		}
+	}
+}
+
+// Ziggurat branches a replay took besides the first-try accept.
+const (
+	pathWedge = 1 << iota // a non-base strip rejected j and ran the fn wedge test
+	pathBase              // the base strip (i == 0) rejected j and sampled the tail
+)
+
+// replayNormal is math/rand's NormFloat64 loop, statement for
+// statement, over the replayed outputs of a source seeded with seed.
+// path reports the rejection branches taken; ok is false when the loop
+// needs more than limit outputs.
+func replayNormal(seed int64, limit int) (v float64, path int, ok bool) {
+	d := newFirstDraws(seed, limit)
+	for {
+		u, ok := d.int63()
+		if !ok {
+			return 0, path, false
+		}
+		j := int32(uint32(u >> 31)) // Rand.Uint32, possibly negative
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x, path, true
+		}
+
+		if i == 0 {
+			path |= pathBase
+			for {
+				f1, _ := d.float64()
+				f2, ok := d.float64() // fails whenever f1 did
+				if !ok {
+					return 0, path, false
+				}
+				x = -math.Log(f1) * (1.0 / rn)
+				y := -math.Log(f2)
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return rn + x, path, true
+			}
+			return -rn - x, path, true
+		}
+		path |= pathWedge
+		f, ok := d.float64()
+		if !ok {
+			return 0, path, false
+		}
+		if fn[i]+float32(f)*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x, path, true
+		}
+	}
 }
 
 func absInt32(i int32) uint32 {
@@ -106,36 +208,91 @@ var (
 	firstDrawSlow bool // set when verification fails: always fully seed
 )
 
-// verifyFirstDraw cross-checks the O(1) path against the real generator
-// over a spread of seeds on first use. Any divergence — say a future
-// toolchain breaking the Go 1 sequence promise — permanently routes
-// every call through the slow path, trading speed for correctness.
+// verifyFirstDraw cross-checks the replay against the real generator on
+// first use: all firstDrawK raw outputs for a few edge seeds (no seed
+// out of 2M needed more than seven, so only this reaches the last table
+// rows), then the normal draw for firstDrawCheckSeeds. Any divergence —
+// say a future toolchain breaking the Go 1 sequence promise, or
+// compiling the rejection arithmetic differently here than in
+// math/rand — permanently routes every call through the slow path,
+// trading speed for correctness.
 func verifyFirstDraw() {
-	seeds := []int64{0, 1, -1, lehmerM, -lehmerM, math.MaxInt64, math.MinInt64}
-	for i := int64(0); i < 64; i++ {
-		seeds = append(seeds, i*2654435761+12345)
+	for _, s := range []int64{0, 1, -1, lehmerM, math.MinInt64} {
+		if !replayMatchesSource(s) {
+			firstDrawSlow = true
+			return
+		}
 	}
-	for _, s := range seeds {
-		v, ok := fastFirstNormal(s)
-		if ok && v != rand.New(rand.NewSource(s)).NormFloat64() {
+	r := rand.New(rand.NewSource(0)) // reseeded per seed: one register, not one per check
+	for _, s := range firstDrawCheckSeeds() {
+		r.Seed(s)
+		v, _, ok := replayNormal(s, firstDrawK)
+		if ok && v != r.NormFloat64() {
 			firstDrawSlow = true
 			return
 		}
 	}
 }
 
+// replayMatchesSource reports whether the replayed outputs 1..firstDrawK
+// of seed equal a seeded math/rand source's Int63 sequence.
+func replayMatchesSource(seed int64) bool {
+	src := rand.NewSource(seed)
+	d := newFirstDraws(seed, firstDrawK)
+	for k := 0; k < firstDrawK; k++ {
+		if v, _ := d.int63(); v != src.Int63() {
+			return false
+		}
+	}
+	return true
+}
+
+// firstDrawCheckSeeds is verifyFirstDraw's seed list: edge seeds, 64
+// spread seeds, then the first 128 seeds of the spread that take the
+// wedge branch and the first 16 that take the base-strip branch — about
+// 215 seeds, found within the first ~30k of the spread.
+func firstDrawCheckSeeds() []int64 {
+	seeds := []int64{0, 1, -1, lehmerM, -lehmerM, math.MaxInt64, math.MinInt64}
+	wedge, base := 0, 0
+	for i := int64(0); i < 1<<17 && (i < 64 || wedge < 128 || base < 16); i++ {
+		s := i*2654435761 + 12345
+		_, path, _ := replayNormal(s, firstDrawK)
+		keep := i < 64
+		if path&pathWedge != 0 && wedge < 128 {
+			wedge++
+			keep = true
+		}
+		if path&pathBase != 0 && base < 16 {
+			base++
+			keep = true
+		}
+		if keep {
+			seeds = append(seeds, s)
+		}
+	}
+	return seeds
+}
+
 // FirstNormal returns exactly what NewRNG(seed).Normal(0, 1) returns,
-// in O(1) for >99% of seeds instead of O(607) seeding work. Use it for
-// the derive-seed-per-event discipline where each seed yields one draw.
+// in O(1) instead of O(607) seeding work: about 97% of seeds accept on
+// the ziggurat's first try (2.75% reject it, measured over 2M seeds)
+// and the replay resolves the rejections too. Use it for the
+// derive-seed-per-event discipline where each seed yields one draw.
 func FirstNormal(seed int64) float64 {
+	return firstNormal(seed, firstDrawK)
+}
+
+// firstNormal is FirstNormal with the replay capped at limit outputs.
+func firstNormal(seed int64, limit int) float64 {
 	firstDrawOnce.Do(verifyFirstDraw)
 	if !firstDrawSlow {
-		if v, ok := fastFirstNormal(seed); ok {
+		if v, _, ok := replayNormal(seed, limit); ok {
 			return v
 		}
 	}
-	// Ziggurat rejection (or verification failure): replay the identical
-	// stream from position zero with the real generator.
+	// Past the replay's outputs (or after a verification failure):
+	// replay the identical stream from position zero with the real
+	// generator.
 	return rand.New(rand.NewSource(seed)).NormFloat64()
 }
 
@@ -148,10 +305,10 @@ func FirstLogNormal(seed int64, m, sigma float64) float64 {
 	return m * math.Exp(sigma*FirstNormal(seed))
 }
 
-// kn and wn are the ziggurat accept tables from math/rand/normal.go:
-// bucket thresholds and slice widths for the first-iteration accept test
-// `absInt32(j) < kn[i] → x = j·wn[i]`. The rejection tables (fn, the
-// base-strip tail) are not replicated — those paths fall back.
+// kn, wn and fn are the ziggurat tables from math/rand/normal.go:
+// bucket thresholds and slice widths for the accept test
+// `absInt32(j) < kn[i] → x = j·wn[i]`, and the strip-edge density
+// values the wedge test interpolates.
 var kn = [128]uint32{
 	0x76ad2212, 0x0, 0x600f1b53, 0x6ce447a6, 0x725b46a2,
 	0x7560051d, 0x774921eb, 0x789a25bd, 0x799045c3, 0x7a4bce5d,
@@ -214,4 +371,33 @@ var wn = [128]float32{
 	1.1781276e-09, 1.1962995e-09, 1.2158287e-09, 1.2369856e-09,
 	1.2601323e-09, 1.2857697e-09, 1.3146202e-09, 1.347784e-09,
 	1.3870636e-09, 1.4357403e-09, 1.5008659e-09, 1.6030948e-09,
+}
+
+var fn = [128]float32{
+	1, 0.9635997, 0.9362827, 0.9130436, 0.89228165, 0.87324303,
+	0.8555006, 0.8387836, 0.8229072, 0.8077383, 0.793177,
+	0.7791461, 0.7655842, 0.7524416, 0.73967725, 0.7272569,
+	0.7151515, 0.7033361, 0.69178915, 0.68049186, 0.6694277,
+	0.658582, 0.6479418, 0.63749546, 0.6272325, 0.6171434,
+	0.6072195, 0.5974532, 0.58783704, 0.5783647, 0.56903,
+	0.5598274, 0.5507518, 0.54179835, 0.5329627, 0.52424055,
+	0.5156282, 0.50712204, 0.49871865, 0.49041483, 0.48220766,
+	0.4740943, 0.46607214, 0.4581387, 0.45029163, 0.44252872,
+	0.43484783, 0.427247, 0.41972435, 0.41227803, 0.40490642,
+	0.39760786, 0.3903808, 0.3832238, 0.37613547, 0.36911446,
+	0.3621595, 0.35526937, 0.34844297, 0.34167916, 0.33497685,
+	0.3283351, 0.3217529, 0.3152294, 0.30876362, 0.30235484,
+	0.29600215, 0.28970486, 0.2834622, 0.2772735, 0.27113807,
+	0.2650553, 0.25902456, 0.2530453, 0.24711695, 0.241239,
+	0.23541094, 0.22963232, 0.2239027, 0.21822165, 0.21258877,
+	0.20700371, 0.20146611, 0.19597565, 0.19053204, 0.18513499,
+	0.17978427, 0.17447963, 0.1692209, 0.16400786, 0.15884037,
+	0.15371831, 0.14864157, 0.14361008, 0.13862377, 0.13368265,
+	0.12878671, 0.12393598, 0.119130544, 0.11437051, 0.10965602,
+	0.104987256, 0.10036444, 0.095787846, 0.0912578, 0.08677467,
+	0.0823389, 0.077950984, 0.073611505, 0.06932112, 0.06508058,
+	0.06089077, 0.056752663, 0.0526674, 0.048636295, 0.044660863,
+	0.040742867, 0.03688439, 0.033087887, 0.029356318,
+	0.025693292, 0.022103304, 0.018592102, 0.015167298,
+	0.011839478, 0.008624485, 0.005548995, 0.0026696292,
 }

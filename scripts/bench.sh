@@ -17,7 +17,8 @@ TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
 # Per-package hot-leaf microbenchmarks (scene raster, nn/tensor layers,
-# codec, tracer frame path, client inference, kernel event churn).
+# codec, tracer frame path, client inference, kernel event churn, the
+# O(1) first normal draw).
 go test -run '^$' -bench . -benchmem \
     ./internal/scene/ ./internal/nn/ ./internal/tensor/ ./internal/codec/ \
     ./internal/trace/ ./internal/agent/ ./internal/sim/ | tee "$TMP"

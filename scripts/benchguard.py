@@ -15,9 +15,11 @@ the fault-churn bookkeeping loop, the per-epoch overhead every fault
 trial pays, and the phase-loop and diurnal-million sweeps, the scale
 contracts of the fidelity tiers and the streaming arrival API: ~100k
 sessions over 1000 machines and ~1M sessions over 10k machines must
-stay in whole-seconds territory, and one arrival's placement through
-the capacity index on a 10k-machine fleet), and they are stable enough (no allocation
-churn, no I/O) that a >20% move is a code regression, not noise.
+stay in whole-seconds territory, one arrival's placement through the
+capacity index on a 10k-machine fleet, and the O(1) first normal draw
+behind every surrogate session-epoch's jitter), and they are stable
+enough (no allocation churn, no I/O) that a >20% move is a code
+regression, not noise.
 
 A pinned benchmark with no recorded entry in the JSON fails the guard:
 a silently missing pin is indistinguishable from an unguarded
@@ -46,6 +48,7 @@ PINNED = [
     "BenchmarkGlobalKernelSweep",
     "BenchmarkDiurnalMillionSweep",
     "BenchmarkPlacement/leastdemand/M=10k",
+    "BenchmarkFirstNormal",
 ]
 
 
